@@ -35,7 +35,7 @@ Shape claims:
   statement (the old ``_reinline`` fallback) is exactly what the
   explicit side's *infeasible* row records;
 * DML is columnar-native and batched (ISSUE 5): scripts replay through
-  ``ISQLSession.run_script``, every DML scenario's inline rows carry a
+  ``ISQLSession.run``, every DML scenario's inline rows carry a
   ``dml_apply`` phase (the mask/scatter/append application — asserted
   below, and gated by ``check_regression.py``), value-determined
   subquery DML evaluates on distinct value rows instead of the
@@ -565,9 +565,9 @@ def test_statement_replay_plan_cache(backend_recorder, bench_repeats):
                 # genuine invalidation traffic (Audit's version bumps on
                 # every statement) while the trip memo entry survives.
                 if index % 2:
-                    session.run_script("delete from Audit where N = 1;")
+                    session.run("delete from Audit where N = 1;")
                 else:
-                    session.run_script("insert into Audit values (1);")
+                    session.run("insert into Audit values (1);")
             timings.append(time.perf_counter() - start)
         return sorted(timings)[(repeats - 1) // 2], session, result
 

@@ -33,19 +33,11 @@ if TYPE_CHECKING:  # the isql package imports this module at init time
 
 @dataclass(frozen=True)
 class ExecutionContext:
-    """Per-statement session configuration handed to a backend.
-
-    *cache* is the statement's cache gate: ``False`` makes a caching
-    backend bypass its plan cache and result memo for this statement
-    (the ``execute(..., cache=False)`` / ``connect(..., cache=False)``
-    escape hatch of the differential suites). Backends without caches
-    ignore it.
-    """
+    """Per-statement session configuration handed to a backend."""
 
     views: Mapping[str, ast.SelectQuery] = field(default_factory=dict)
     keys: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     max_worlds: int | None = None
-    cache: bool = True
 
 
 class BaseQueryResult:
@@ -103,7 +95,8 @@ class Backend:
     #: How the cache treated the most recent statement: ``"hit"`` (plan
     #: or memo served from cache), ``"miss"`` (compiled fresh, now
     #: cached), or ``"bypass"`` (no cache consulted — non-caching
-    #: backend, ``cache=False``, or a statement kind that never caches).
+    #: backend, ``InlineBackend(cache=False)``, or a statement kind that
+    #: never caches).
     #: The session resets this to ``"bypass"`` before dispatching each
     #: statement and copies it into the :class:`StatementResult`.
     last_cache = "bypass"
@@ -219,7 +212,7 @@ class Backend:
     ) -> list[bool]:
         """Apply consecutive DML statements; one applied flag per statement.
 
-        ``ISQLSession.run_script`` routes maximal runs of consecutive
+        ``ISQLSession.run`` routes maximal runs of consecutive
         *subquery-free* DML statements against one relation here. The
         contract is strict statement-at-a-time equivalence — same final
         state, same applied/discarded flags, same errors in the same

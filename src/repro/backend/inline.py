@@ -455,7 +455,7 @@ class InlineBackend(Backend):
         cached — their diagnostics carry source spans, which the
         span-insensitive statement fingerprint would skew.
         """
-        cache = self.cache if context.cache else None
+        cache = self.cache
         if cache is not None:
             key = self._plan_key("select", query, context)
             with phase("cache_lookup"):
@@ -481,7 +481,7 @@ class InlineBackend(Backend):
         rewritten — callers must not rewrite again. FragmentError
         propagates uncached, like :meth:`_compile`.
         """
-        cache = self.cache if context.cache else None
+        cache = self.cache
         if cache is not None:
             key = self._plan_key(tag, statement, context)
             with phase("cache_lookup"):
@@ -544,7 +544,7 @@ class InlineBackend(Backend):
         with ids a later statement mints. ``choice-of`` / repair results
         always re-evaluate.
         """
-        cache = self.cache if context.cache else None
+        cache = self.cache
         key = self._memo_key(query, context) if cache is not None else None
         if key is not None:
             with phase("cache_lookup"):
@@ -1279,7 +1279,7 @@ class InlineBackend(Backend):
     ) -> list[bool]:
         """Consecutive subquery-free DML on one relation, as one pass.
 
-        ``ISQLSession.run_script`` hands over a maximal run of batchable
+        ``ISQLSession.run`` hands over a maximal run of batchable
         statements (one target relation, conditions and set expressions
         without subqueries). The batch binds every condition once, then
         pipelines the statements over a single working row list in the

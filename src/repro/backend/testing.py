@@ -66,11 +66,11 @@ def run_scenario(
     for relation, attributes in scenario.keys:
         session.declare_key(relation, attributes)
     if scenario.script:
-        # run_script, not execute: consecutive subquery-free DML
-        # statements replay through the batch pipeline, so every
-        # scenario doubles as batching-equivalence coverage (the
-        # explicit backend takes the statement-at-a-time default).
-        session.run_script(scenario.script)
+        # Consecutive subquery-free DML statements replay through the
+        # batch pipeline, so every scenario doubles as batching-
+        # equivalence coverage (the explicit backend takes the
+        # statement-at-a-time default).
+        session.run(scenario.script)
     return session, session.query(scenario.query)
 
 

@@ -37,9 +37,10 @@ them across sessions is exactly the copy-on-write discipline the rest
 of the engine is built on.
 
 ``session.cache_info()`` / ``connection.cache_info()`` surface the
-counters as a :class:`CacheInfo`; ``execute(..., cache=False)`` /
-``connect(..., cache=False)`` bypass both caches per statement for
-differential testing.
+counters as a :class:`CacheInfo`. The one on/off switch is the
+backend's: ``InlineBackend(cache=False)`` runs without any cache tier
+(the differential suites' cache-off side), and every session forked
+from it — pooled connections included — inherits the setting.
 """
 
 from __future__ import annotations

@@ -532,7 +532,7 @@ def xl_scenarios() -> tuple[Scenario, ...]:
             # The DML batch pipeline's headline: one world per census
             # block (2¹⁶ worlds over a ~2·10⁵-row flat table), then a
             # five-statement subquery-free cleanup script against the
-            # split relation — ``run_script`` coalesces the whole run
+            # split relation — ``ISQLSession.run`` coalesces the whole run
             # into a single backend pass (updates, deletes and an
             # insert that lands one sentinel row in every world), so
             # the scenario measures per-statement pipeline throughput,

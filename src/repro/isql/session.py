@@ -39,17 +39,18 @@ differential suite in ``tests/backend`` enforces this.
 inline backend takes for a statement against the live catalog;
 ``docs/isql-reference.md`` tabulates the routes construct by construct.
 
-Scripts run either statement at a time (:meth:`ISQLSession.execute`)
-or through the DML batch pipeline (:meth:`ISQLSession.run_script`),
-which coalesces consecutive subquery-free DML statements against one
-relation into a single backend pass — same results, one commit per
-batch.
+Every script runs through one pipeline, :meth:`ISQLSession.run`: a
+cached parse, then the DML batch coalescing (consecutive subquery-free
+DML statements against one relation become a single backend pass —
+same results, one commit per batch), then dispatch.
+:meth:`ISQLSession.execute` is the same pipeline with the legacy
+result shape.
 
 Sessions are transactional. Statement execution is all-or-nothing at
 statement granularity: backends commit by swapping immutable state
 references, so an error inside a statement (including one injected into
 a kernel op) leaves the state at the last commit. On top of that,
-``run_script(..., atomic=True)`` / ``execute(..., atomic=True)`` back a
+``run(..., atomic=True)`` / ``execute(..., atomic=True)`` back a
 whole script with an O(#tables) snapshot and roll back wholesale on any
 error; :meth:`ISQLSession.transaction` does the same for arbitrary
 Python blocks; and :meth:`savepoint` / :meth:`rollback_to` maintain a
@@ -65,7 +66,7 @@ as :class:`~repro.errors.EvaluationError` with the original as its
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -95,8 +96,15 @@ class DMLResult:
         return f"DMLResult({self.kind}: {status})"
 
 
-#: DMLResult kind labels per statement node (the batch pipeline's map).
-_DML_KINDS = {ast.Insert: "insert", ast.Delete: "delete", ast.Update: "update"}
+#: StatementResult / DMLResult kind labels per statement node.
+_KINDS = {
+    ast.SelectQuery: "select",
+    ast.Assignment: "assign",
+    ast.CreateView: "view",
+    ast.Insert: "insert",
+    ast.Delete: "delete",
+    ast.Update: "update",
+}
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,7 @@ class StatementResult:
     :meth:`ISQLSession.run` returns one per statement, replacing the
     three historical shapes — the heterogeneous
     ``BaseQueryResult | DMLResult | None`` entries of
-    :meth:`ISQLSession.execute`/:meth:`ISQLSession.run_script`, bare
+    :meth:`ISQLSession.execute`, bare
     backend returns, and the DBAPI cursor's ad-hoc attributes — with
     one dataclass carrying the answer, the execution route, the
     applied flag, per-statement phase timings, and how the statement
@@ -232,7 +240,10 @@ class ISQLSession:
     *max_seconds*, aborts with the recoverable
     :class:`~repro.errors.ResourceLimitError` — state stays at the last
     commit and the session remains usable. Both may also be assigned
-    after construction; each statement reads them afresh. Sessions are
+    after construction; each statement reads them afresh. The statement
+    cache belongs to the backend and is switched there alone
+    (``InlineBackend(cache=False)``); :meth:`fork` and the service
+    layer's pooled sessions inherit the setting. Sessions are
     context managers — ``with ISQLSession(...) as s:`` releases cached
     derived state on exit (see :meth:`close`).
     """
@@ -243,7 +254,6 @@ class ISQLSession:
         backend: str | Backend = "explicit",
         max_rows: int | None = None,
         max_seconds: float | None = None,
-        cache: bool = True,
     ) -> None:
         self.backend = create_backend(backend)
         self.views: dict[str, ast.SelectQuery] = {}
@@ -251,10 +261,6 @@ class ISQLSession:
         self.max_worlds = max_worlds
         self.max_rows = max_rows
         self.max_seconds = max_seconds
-        #: Session-wide cache gate: False bypasses the statement cache
-        #: for every statement (each execute/run call may still override
-        #: per script with its own ``cache=`` argument).
-        self.cache = cache
         self._savepoints: list[Savepoint] = []
         #: Thread ident this session is pinned to, or None (unpinned).
         self._owner_thread: int | None = None
@@ -284,33 +290,8 @@ class ISQLSession:
                 f"it cannot be used from thread {threading.get_ident()}"
             )
 
-    def _context(self, cache: bool | None = None) -> ExecutionContext:
-        return ExecutionContext(
-            self.views,
-            self.keys,
-            self.max_worlds,
-            cache=self.cache if cache is None else cache,
-        )
-
-    def _parse(self, script: str, cache: bool | None) -> tuple[ast.Statement, ...]:
-        """Parse *script*, through the backend's parse cache when on.
-
-        The cache key is the raw script text; the cached value is the
-        (immutable) statement tuple, so a hot script skips tokenizing
-        and parsing entirely on its second run.
-        """
-        use_cache = self.cache if cache is None else cache
-        store = getattr(self.backend, "cache", None) if use_cache else None
-        if store is not None:
-            with phase("cache_lookup"):
-                hit = store.parses.get(script)
-            if hit is not MISS:
-                return hit
-        with phase("compile"):
-            statements = tuple(parse_script(script))
-        if store is not None:
-            store.parses.put(script, statements)
-        return statements
+    def _context(self) -> ExecutionContext:
+        return ExecutionContext(self.views, self.keys, self.max_worlds)
 
     def cache_info(self) -> CacheInfo:
         """Aggregate statement-cache counters (hits, misses, entries,
@@ -349,17 +330,13 @@ class ISQLSession:
     # -- execution -------------------------------------------------------------------
 
     def execute(
-        self, script: str, atomic: bool = False, cache: bool | None = None
+        self, script: str, atomic: bool = False
     ) -> list[BaseQueryResult | DMLResult | None]:
-        """Execute a ``;``-separated script; one result entry per statement.
+        """:meth:`run` with the legacy result shape; one entry per statement.
 
-        With ``atomic=True`` the whole script runs under one snapshot:
-        any error rolls the session back to its state before the first
-        statement (otherwise the statements executed so far stay
-        committed — statement-level atomicity always holds either way).
-        *cache* overrides the session's cache gate for this script
-        (``cache=False`` bypasses the statement cache — the
-        differential-testing escape hatch).
+        Each entry is the select's answer, a :class:`DMLResult`, or
+        None for assignments and views. *atomic* behaves as in
+        :meth:`run`.
 
         .. deprecated:: the heterogeneous
            ``BaseQueryResult | DMLResult | None`` result shape. It keeps
@@ -367,42 +344,48 @@ class ISQLSession:
            :class:`StatementResult` entries carry the same information
            uniformly (plus route, cache disposition, and phase timings).
         """
-        statements = self._parse(script, cache)
-        if atomic:
-            with self.transaction():
-                return self._execute_statements(statements, script, cache)
-        return self._execute_statements(statements, script, cache)
+        return [
+            DMLResult(result.applied, result.kind)
+            if result.applied is not None
+            else result.answer
+            for result in self.run(script, atomic)
+        ]
 
-    def _execute_statements(
-        self,
-        statements: tuple[ast.Statement, ...],
-        script: str,
-        cache: bool | None = None,
-    ) -> list[BaseQueryResult | DMLResult | None]:
-        results: list[BaseQueryResult | DMLResult | None] = []
-        for statement in statements:
-            try:
-                results.append(self.execute_statement(statement, cache))
-            except ReproError as error:
-                _annotate_statement(error, statement, script)
-                raise
-        return results
+    def parse(self, script: str) -> tuple[ast.Statement, ...]:
+        """Parse *script*, through the backend's parse cache when it has one.
 
-    def run_script(
-        self, script: str, atomic: bool = False, cache: bool | None = None
-    ) -> list[BaseQueryResult | DMLResult | None]:
-        """:meth:`execute` with the DML batch pipeline.
+        The cache key is the raw script text; the cached value is the
+        (immutable) statement tuple, so a hot script skips tokenizing
+        and parsing entirely on its second run.
+        """
+        store = getattr(self.backend, "cache", None)
+        if store is not None:
+            with phase("cache_lookup"):
+                hit = store.parses.get(script)
+            if hit is not MISS:
+                return hit
+        with phase("compile"):
+            statements = tuple(parse_script(script))
+        if store is not None:
+            store.parses.put(script, statements)
+        return statements
 
-        Maximal runs of **consecutive subquery-free DML statements
-        against the same relation** coalesce into one
-        ``backend.run_dml_batch`` call: the inline backend applies the
-        whole run in a single pass over the flat table — one id
-        expansion, one commit, one representation validation per batch
-        instead of per statement — while every other backend inherits
-        the statement-at-a-time default. Results are row-for-row (and
-        flag-for-flag) identical to :meth:`execute`; only the cost
-        changes. A statement with condition/set subqueries, or a
-        non-DML statement, closes the current batch.
+    def run(self, script: str, atomic: bool = False) -> list[StatementResult]:
+        """Execute a ``;``-separated script; one :class:`StatementResult` each.
+
+        The one statement pipeline: the script is parsed through the
+        parse cache (:meth:`parse`), then maximal runs of **consecutive
+        subquery-free DML statements against the same relation**
+        coalesce into one ``backend.run_dml_batch`` call — the inline
+        backend applies the whole run in a single pass over the flat
+        table (one id expansion, one commit, one representation
+        validation per batch), while every other backend inherits the
+        statement-at-a-time default. Results are row-for-row (and
+        flag-for-flag) those of statement-at-a-time execution; only the
+        cost changes. Every other statement runs alone. Each entry
+        carries the answer (selects), the applied flag (DML), the
+        execution route, the cache disposition
+        (``"hit"``/``"miss"``/``"bypass"``), and phase timings.
 
         On a mid-script error the default keeps the committed prefix:
         every statement before the failing one (and, inside a failing
@@ -410,167 +393,46 @@ class ISQLSession:
         committed, and the failing statement itself is all-or-nothing.
         With ``atomic=True`` the script runs under one snapshot and any
         error rolls back to the pre-script state.
-
-        .. deprecated:: the heterogeneous result shape — see
-           :meth:`execute`; prefer :meth:`run`.
         """
-        statements = self._parse(script, cache)
-        if atomic:
-            with self.transaction():
-                return self._run_batched(statements, script, cache)
-        return self._run_batched(statements, script, cache)
-
-    def _run_batched(
-        self,
-        statements: tuple[ast.Statement, ...],
-        script: str,
-        cache: bool | None = None,
-    ) -> list[BaseQueryResult | DMLResult | None]:
-        results: list[BaseQueryResult | DMLResult | None] = []
-        index = 0
-        while index < len(statements):
-            batch = self._dml_batch_at(statements, index)
-            if len(batch) >= 2:
-                try:
-                    applied = self._protected(
-                        "dml batch",
-                        lambda: self.backend.run_dml_batch(
-                            tuple(batch), self._context(cache)
-                        ),
-                    )
-                except ReproError as error:
-                    _annotate_statement(error, batch[0], script, until=batch[-1])
-                    raise
-                results.extend(
-                    DMLResult(flag, _DML_KINDS[type(statement)])
-                    for statement, flag in zip(batch, applied)
-                )
-                index += len(batch)
-            else:
-                try:
-                    results.append(
-                        self.execute_statement(statements[index], cache)
-                    )
-                except ReproError as error:
-                    _annotate_statement(error, statements[index], script)
-                    raise
-                index += 1
-        return results
-
-    def run(
-        self, script: str, atomic: bool = False, cache: bool | None = None
-    ) -> list[StatementResult]:
-        """Execute a script; one :class:`StatementResult` per statement.
-
-        The unified statement API: same execution pipeline as
-        :meth:`run_script` (including the DML batch coalescing), but
-        every entry is a :class:`StatementResult` carrying the answer
-        (selects), the applied flag (DML), the execution route, the
-        cache disposition (``"hit"``/``"miss"``/``"bypass"``), and
-        per-statement phase timings. *atomic* and *cache* behave as in
-        :meth:`execute`.
-        """
-        statements = self._parse(script, cache)
-        if atomic:
-            with self.transaction():
-                return self._run_detailed(statements, script, cache)
-        return self._run_detailed(statements, script, cache)
-
-    def _run_detailed(
-        self,
-        statements: tuple[ast.Statement, ...],
-        script: str,
-        cache: bool | None = None,
-    ) -> list[StatementResult]:
+        statements = self.parse(script)
         backend = self.backend
         outer = active_collector()
-
-        def tee(phases: dict[str, float]) -> None:
-            # Per-statement timings also accumulate into an enclosing
-            # collect_phases() collector (e.g. a benchmark's), which the
-            # inner collector shadowed while the statement ran.
-            if outer is not None:
-                for name, seconds in phases.items():
-                    outer[name] = outer.get(name, 0.0) + seconds
-
         results: list[StatementResult] = []
-        index = 0
-        while index < len(statements):
-            batch = self._dml_batch_at(statements, index)
-            backend.last_cache = "bypass"
-            phases: dict[str, float] = {}
-            if len(batch) >= 2:
+        with self.transaction() if atomic else nullcontext():
+            index = 0
+            while index < len(statements):
+                batch = self._dml_batch_at(statements, index)
+                fallbacks = getattr(backend, "fallback_total", 0)
+                phases: dict[str, float] = {}
                 with collect_phases(phases):
                     try:
-                        applied = self._protected(
-                            "dml batch",
-                            lambda: backend.run_dml_batch(
-                                tuple(batch), self._context(cache)
-                            ),
-                        )
+                        outcomes = self._execute_batch(batch)
                     except ReproError as error:
-                        _annotate_statement(
-                            error, batch[0], script, until=batch[-1]
-                        )
+                        _annotate_statement(error, batch, script)
                         raise
-                tee(phases)
+                if outer is not None:
+                    # Per-statement timings also accumulate into an
+                    # enclosing collect_phases() collector (e.g. a
+                    # benchmark's), which the inner one shadowed.
+                    for name, seconds in phases.items():
+                        outer[name] = outer.get(name, 0.0) + seconds
+                route = backend.kind
+                if getattr(backend, "fallback_total", 0) > fallbacks:
+                    route = "fallback"
                 results.extend(
                     StatementResult(
-                        kind=_DML_KINDS[type(statement)],
-                        applied=flag,
-                        route=backend.kind,
+                        kind=_KINDS[type(statement)],
+                        answer=(
+                            outcome if isinstance(outcome, BaseQueryResult) else None
+                        ),
+                        applied=outcome if isinstance(outcome, bool) else None,
+                        route=route,
                         cache=backend.last_cache,
                         phases=phases,
                     )
-                    for statement, flag in zip(batch, applied)
+                    for statement, outcome in zip(batch, outcomes)
                 )
                 index += len(batch)
-                continue
-            statement = statements[index]
-            fallbacks = getattr(backend, "fallback_total", 0)
-            with collect_phases(phases):
-                try:
-                    outcome = self.execute_statement(statement, cache)
-                except ReproError as error:
-                    _annotate_statement(error, statement, script)
-                    raise
-            tee(phases)
-            route = backend.kind
-            if getattr(backend, "fallback_total", 0) > fallbacks:
-                route = "fallback"
-            if isinstance(outcome, DMLResult):
-                results.append(
-                    StatementResult(
-                        kind=outcome.kind,
-                        applied=outcome.applied,
-                        route=route,
-                        cache=backend.last_cache,
-                        phases=phases,
-                    )
-                )
-            elif isinstance(outcome, BaseQueryResult):
-                results.append(
-                    StatementResult(
-                        kind="select",
-                        answer=outcome,
-                        route=route,
-                        cache=backend.last_cache,
-                        phases=phases,
-                    )
-                )
-            else:
-                kind = (
-                    "view" if isinstance(statement, ast.CreateView) else "assign"
-                )
-                results.append(
-                    StatementResult(
-                        kind=kind,
-                        route=route,
-                        cache=backend.last_cache,
-                        phases=phases,
-                    )
-                )
-            index += 1
         return results
 
     @staticmethod
@@ -589,24 +451,43 @@ class ISQLSession:
 
     @classmethod
     def _dml_batch_at(
-        cls, statements: list[ast.Statement], index: int
-    ) -> list[ast.Statement]:
+        cls, statements: tuple[ast.Statement, ...], index: int
+    ) -> tuple[ast.Statement, ...]:
         """The maximal batchable run starting at *index* (may be one)."""
         first = statements[index]
-        if not cls._batchable(first):
-            return [first]
-        batch = [first]
-        for statement in statements[index + 1 :]:
-            if (
-                not cls._batchable(statement)
-                or statement.relation != first.relation
+        end = index + 1
+        if cls._batchable(first):
+            while (
+                end < len(statements)
+                and cls._batchable(statements[end])
+                and statements[end].relation == first.relation
             ):
-                break
-            batch.append(statement)
-        return batch
+                end += 1
+        return statements[index:end]
+
+    def _execute_batch(
+        self, batch: tuple[ast.Statement, ...]
+    ) -> list[BaseQueryResult | bool | None]:
+        """One backend pass, protected and budgeted; an outcome per statement.
+
+        A run of two or more statements goes to ``run_dml_batch``; a
+        single statement is dispatched alone. Outcomes are the select
+        answer, the DML applied flag, or None (assignment, view).
+        """
+        self.backend.last_cache = "bypass"
+        if len(batch) >= 2:
+            return self._protected(
+                "dml batch",
+                lambda: self.backend.run_dml_batch(batch, self._context()),
+            )
+        statement = batch[0]
+        kind = type(statement).__name__.lower()
+        return [
+            self._protected(f"{kind} statement", lambda: self._dispatch(statement))
+        ]
 
     def execute_statement(
-        self, statement: ast.Statement, cache: bool | None = None
+        self, statement: ast.Statement
     ) -> BaseQueryResult | DMLResult | None:
         """Execute one parsed statement, protected and budgeted.
 
@@ -620,10 +501,10 @@ class ISQLSession:
         all-or-nothing: backends commit by reference swap, so an error
         leaves the session state at the last commit.
         """
-        kind = type(statement).__name__.lower()
-        return self._protected(
-            f"{kind} statement", lambda: self._dispatch(statement, cache)
-        )
+        (outcome,) = self._execute_batch((statement,))
+        if isinstance(outcome, bool):
+            return DMLResult(outcome, _KINDS[type(statement)])
+        return outcome
 
     def _protected(self, kind: str, run):
         self._check_thread()
@@ -637,40 +518,28 @@ class ISQLSession:
                     f"internal error while executing {kind}: {error!r}"
                 ) from error
 
-    def _dispatch(
-        self, statement: ast.Statement, cache: bool | None = None
-    ) -> BaseQueryResult | DMLResult | None:
-        context = self._context(cache)
-        # Reset the per-statement cache disposition so a statement kind
-        # that never consults the cache reads as "bypass".
-        self.backend.last_cache = "bypass"
+    def _dispatch(self, statement: ast.Statement) -> BaseQueryResult | bool | None:
+        context = self._context()
         if isinstance(statement, ast.SelectQuery):
             return self.backend.run_select(statement, context)
-        if isinstance(statement, ast.Assignment):
+        if isinstance(statement, (ast.Assignment, ast.CreateView)):
             if (
                 statement.name in self.backend.relation_names()
                 or statement.name in self.views
             ):
                 raise SchemaError(f"{statement.name!r} already exists")
-            self.backend.assign(statement.name, statement.query, context)
-            return None
-        if isinstance(statement, ast.CreateView):
-            if (
-                statement.name in self.backend.relation_names()
-                or statement.name in self.views
-            ):
-                raise SchemaError(f"{statement.name!r} already exists")
-            self.views[statement.name] = statement.query
+            if isinstance(statement, ast.Assignment):
+                self.backend.assign(statement.name, statement.query, context)
+            else:
+                self.views[statement.name] = statement.query
             return None
         if isinstance(statement, ast.Insert):
-            applied = self.backend.run_insert(statement, context)
-            return DMLResult(applied, "insert")
+            return self.backend.run_insert(statement, context)
         if isinstance(statement, ast.Delete):
             self.backend.run_delete(statement, context)
-            return DMLResult(True, "delete")
+            return True
         if isinstance(statement, ast.Update):
-            applied = self.backend.run_update(statement, context)
-            return DMLResult(applied, "update")
+            return self.backend.run_update(statement, context)
         raise EvaluationError(f"unsupported statement {type(statement).__name__}")
 
     def query(self, text: str) -> BaseQueryResult:
@@ -804,7 +673,6 @@ class ISQLSession:
             backend=self.backend.spawn(),
             max_rows=self.max_rows,
             max_seconds=self.max_seconds,
-            cache=self.cache,
         )
         clone._restore(self._snapshot())
         return clone
@@ -850,31 +718,26 @@ class ISQLSession:
 
 
 def _annotate_statement(
-    error: ReproError,
-    statement: ast.Statement,
-    script: str,
-    until: ast.Statement | None = None,
+    error: ReproError, batch: tuple[ast.Statement, ...], script: str
 ) -> None:
-    """Attach the failing DML statement's source text to *error*.
+    """Attach the failing DML statements' source text to *error*.
 
     DML nodes carry their source span (the parser records it); schema
     and evaluation errors raised while applying them gain a note
-    quoting the statement, so a failure inside a long script names its
-    culprit. When *until* is given the note spans the whole coalesced
-    batch (statement through *until*) — the batch pipeline reports one
-    error for the run. Non-DML statements (no span) and errors that
-    already carry a statement note pass through unchanged.
+    quoting the statement — or, for a coalesced batch, the whole run
+    from its first statement through its last, since the batch
+    pipeline reports one error for the run — so a failure inside a
+    long script names its culprit. Non-DML statements (no span) and
+    errors that already carry a statement note pass through unchanged.
     """
-    span = getattr(statement, "span", None)
-    if span is None:
+    first = getattr(batch[0], "span", None)
+    last = getattr(batch[-1], "span", None)
+    if first is None or last is None:
         return
     notes = getattr(error, "__notes__", ())
     if any(note.startswith("while executing: ") for note in notes):
         return
-    start, end = span
-    if until is not None and getattr(until, "span", None) is not None:
-        end = until.span[1]
-    error.add_note(f"while executing: {script[start:end]}")
+    error.add_note(f"while executing: {script[first[0]:last[1]]}")
 
 
 __all__ = [

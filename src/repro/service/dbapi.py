@@ -31,7 +31,7 @@ session layer:
   version and releases the lock; :meth:`Connection.rollback` restores
   the latest published state and releases the lock. With
   ``autocommit=True`` every execute that writes runs as one atomic
-  script (``run_script(..., atomic=True)``) and publishes immediately.
+  script (``run(..., atomic=True)``) and publishes immediately.
 
 Fetching is defined for **world-uniform** answers (the closed results
 of ``certain``/``possible`` queries, or open queries whose answer
@@ -60,7 +60,9 @@ from __future__ import annotations
 from repro import errors as _errors
 from repro.datagen.workloads import Scenario, scenarios
 from repro.isql import ast
-from repro.isql.parser import parse_script
+# Unused: scripts parse through ISQLSession.parse (cached). Kept because
+# perfbench/tracing.py patches the parser by this module's name too.
+from repro.isql.parser import parse_script  # noqa: F401
 from repro.cache import CacheInfo
 from repro.isql.session import ISQLSession, StatementResult
 from repro.service.snapshots import SnapshotStore
@@ -369,13 +371,11 @@ class Connection:
         max_rows: int | None = None,
         max_seconds: float | None = None,
         lock_timeout: float | None = None,
-        cache: bool = True,
     ) -> None:
         self._store = store
         self._session, self._version = store.spawn_session()
         self._session.max_rows = max_rows
         self._session.max_seconds = max_seconds
-        self._session.cache = cache
         self.autocommit = autocommit
         self.lock_timeout = lock_timeout
         self._writing = False
@@ -448,7 +448,7 @@ class Connection:
     def _execute_script(self, text: str):
         self._check_open()
         try:
-            statements = parse_script(text)
+            statements = self._session.parse(text)
         except _errors.ReproError as error:
             raise _mapped(error) from error
         writes = any(
@@ -585,7 +585,7 @@ def _seed_session(
         for relation, attributes in source.keys:
             session.declare_key(relation, attributes)
         if source.script:
-            session.run_script(source.script)
+            session.run(source.script)
         return session
     if isinstance(source, ISQLSession):
         return source
@@ -603,7 +603,6 @@ def connect(
     max_rows: int | None = None,
     max_seconds: float | None = None,
     lock_timeout: float | None = None,
-    cache: bool = True,
 ) -> Connection:
     """Open a :class:`Connection` over *source*.
 
@@ -616,9 +615,10 @@ def connect(
     *max_rows*/*max_seconds* arm the per-statement resource budget of
     this connection, and *lock_timeout* bounds how long a write
     statement waits for the store's writer lock before raising
-    :exc:`OperationalError`. ``cache=False`` bypasses the statement
-    cache for every statement on this connection (the differential
-    testing escape hatch; see :meth:`Connection.cache_info`).
+    :exc:`OperationalError`. The statement cache is the seed backend's
+    setting: connect over a session built with
+    ``InlineBackend(cache=False)`` to run without one (see
+    :meth:`Connection.cache_info`).
     """
     try:
         if isinstance(source, SnapshotStore):
@@ -633,7 +633,6 @@ def connect(
         max_rows=max_rows,
         max_seconds=max_seconds,
         lock_timeout=lock_timeout,
-        cache=cache,
     )
 
 

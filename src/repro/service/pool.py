@@ -45,12 +45,13 @@ class SessionPool:
     (scenario name, Scenario, session, or an existing store). The
     remaining keywords configure every pooled connection:
     *autocommit*, the *max_rows*/*max_seconds* resource-budget
-    passthrough, *lock_timeout* for the writer lock, and *cache* — the
-    statement-cache gate. Pooled connections share one pool-wide
-    statement cache (their sessions fork from the store template, and
-    forked backends share the template's cache by reference), so a
-    statement compiled on one connection is a plan-cache hit on every
-    other. Retiring a connection (release beyond *max_idle*, pool
+    passthrough, and *lock_timeout* for the writer lock. Pooled
+    connections share one pool-wide statement cache (their sessions
+    fork from the store template, and forked backends share the
+    template's cache by reference), so a statement compiled on one
+    connection is a plan-cache hit on every other; a seed whose backend
+    was built with ``InlineBackend(cache=False)`` gives a pool without
+    one. Retiring a connection (release beyond *max_idle*, pool
     close) closes it, which detaches its session from the shared cache
     — a retired session cannot pin memoized relations.
     """
@@ -66,7 +67,6 @@ class SessionPool:
         max_rows: int | None = None,
         max_seconds: float | None = None,
         lock_timeout: float | None = None,
-        cache: bool = True,
     ) -> None:
         if size < 1:
             raise dbapi.InterfaceError(f"pool size must be >= 1, got {size}")
@@ -86,7 +86,6 @@ class SessionPool:
             max_rows=max_rows,
             max_seconds=max_seconds,
             lock_timeout=lock_timeout,
-            cache=cache,
         )
         self._lock = threading.Condition()
         self._idle: deque[dbapi.Connection] = deque()

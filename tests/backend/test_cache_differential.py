@@ -30,19 +30,23 @@ from repro.testing import InjectedFault, count_ops, inject_fault, sweep_points
 
 KERNEL_NAMES = ("columnar", "tuple") + (("array",) if have_numpy() else ())
 
-#: (label, factory): explicit plus kernels × strategies — the cache
-#: flag is threaded per replay, so each factory is cache-agnostic.
+#: (label, factory): explicit plus kernels × strategies. Each factory
+#: takes the cache flag — the backend is where the cache is switched —
+#: and the explicit backend, which has no cache, ignores it.
 BACKENDS = (
-    (("explicit", lambda: "explicit"),)
+    (("explicit", lambda cache: "explicit"),)
     + tuple(
-        (f"inline[{kernel}]", lambda kernel=kernel: InlineBackend(kernel=kernel))
+        (
+            f"inline[{kernel}]",
+            lambda cache, kernel=kernel: InlineBackend(kernel=kernel, cache=cache),
+        )
         for kernel in KERNEL_NAMES
     )
     + tuple(
         (
             f"inline-translate[{kernel}]",
-            lambda kernel=kernel: InlineBackend(
-                strategy="translate", kernel=kernel
+            lambda cache, kernel=kernel: InlineBackend(
+                strategy="translate", kernel=kernel, cache=cache
             ),
         )
         for kernel in KERNEL_NAMES
@@ -57,7 +61,7 @@ _backend_params = pytest.mark.parametrize(
 
 
 def _fresh(scenario: Scenario, backend, cache: bool) -> ISQLSession:
-    session = ISQLSession(backend=backend(), cache=cache)
+    session = ISQLSession(backend=backend(cache))
     for name, relation in scenario.relations:
         session.register(name, relation)
     for relation, attributes in scenario.keys:
@@ -169,7 +173,7 @@ def test_fuzzed_scripts_cache_on_equals_off(index):
 
 def _rollback_trace(backend, cache: bool):
     """Warm the cache, mutate under a savepoint, roll back, re-query."""
-    session = ISQLSession(backend=backend(), cache=cache)
+    session = ISQLSession(backend=backend(cache))
     session.register("T", Relation(("K", "V"), [(1, 10), (2, 20)]))
     trace = [session.query("select possible K, V from T;").answers()]
     mark = session.savepoint()
@@ -192,7 +196,7 @@ def test_savepoint_rollback_cache_on_equals_off(label, backend):
 
 
 def _atomic_abort_trace(backend, cache: bool):
-    session = ISQLSession(backend=backend(), cache=cache)
+    session = ISQLSession(backend=backend(cache))
     session.register("T", Relation(("K", "V"), [(1, 10), (2, 20)]))
     session.query("select possible K from T;")  # warm the cache
     with pytest.raises(ReproError):
@@ -222,7 +226,7 @@ def test_fault_replay_on_a_warm_cache(label, backend):
     reference = _fresh(scenario, backend, cache=False)
     reference.run(scenario.script)
     probe = _fresh(scenario, backend, cache=False)
-    total = count_ops(lambda: probe.run_script(scenario.script))
+    total = count_ops(lambda: probe.run(scenario.script))
     if total == 0:
         pytest.skip("script crosses no kernel-op boundary")
     for at in sweep_points(total, 3):
@@ -230,13 +234,13 @@ def test_fault_replay_on_a_warm_cache(label, backend):
         before = session.world_set
         with inject_fault(at) as counter:
             with pytest.raises(EvaluationError) as info:
-                session.run_script(scenario.script, atomic=True)
+                session.run(scenario.script, atomic=True)
             assert isinstance(info.value.__cause__, InjectedFault)
             assert counter.fired, (label, at)
         assert session.world_set == before, (
             f"{label}: fault at op {at}/{total} tore cache-on state"
         )
-        session.run_script(scenario.script, atomic=True)
+        session.run(scenario.script, atomic=True)
         assert session.world_set == reference.world_set, (
             f"{label}: warm-cache replay after fault diverged"
         )
@@ -253,9 +257,9 @@ def test_pinned_reader_keeps_its_snapshot_versions(cache):
     """A pinned reader re-running its query must keep answering from
     its pinned snapshot while a writer commits DML past it — the memo
     keys on the *reader's* table versions, which ride in the snapshot."""
-    seed = ISQLSession(backend=InlineBackend())
+    seed = ISQLSession(backend=InlineBackend(cache=cache))
     seed.register("T", Relation(("K", "V"), [(1, 10), (2, 20)]))
-    with SessionPool(seed, size=2, cache=cache) as pool:
+    with SessionPool(seed, size=2) as pool:
         reader = pool.acquire()
         reader.pin_snapshot()
         query = "select possible K, V from T;"
@@ -276,9 +280,9 @@ def test_pinned_reader_keeps_its_snapshot_versions(cache):
 
 @pytest.mark.parametrize("cache", [True, False], ids=["cache-on", "cache-off"])
 def test_concurrent_connections_agree_after_commit(cache):
-    seed = ISQLSession(backend=InlineBackend())
+    seed = ISQLSession(backend=InlineBackend(cache=cache))
     seed.register("T", Relation(("K",), [(1,), (2,)]))
-    with SessionPool(seed, size=2, cache=cache) as pool:
+    with SessionPool(seed, size=2) as pool:
         with pool.connection() as writer:
             writer.execute("delete from T where K = 1;")
         with pool.connection() as observer:

@@ -1,11 +1,13 @@
 """Batched DML ≡ statement-at-a-time, property-based (ISSUE 5).
 
-``ISQLSession.run_script`` coalesces consecutive subquery-free DML
-statements against one relation into a single ``backend.run_dml_batch``
-call; the inline backend applies the whole run in one pass over the
-flat table and commits once. That is allowed to change *cost* only:
-this suite holds ``run_script`` to row-for-row (and applied-flag-for-
-applied-flag) equivalence with ``execute`` on every backend — explicit,
+``ISQLSession.run`` (and ``execute``, its legacy-shaped twin)
+coalesces consecutive subquery-free DML statements against one relation
+into a single ``backend.run_dml_batch`` call; the inline backend
+applies the whole run in one pass over the flat table and commits once.
+That is allowed to change *cost* only: this suite holds the batched
+pipeline to row-for-row (and applied-flag-for-applied-flag) equivalence
+with statement-at-a-time execution (each parsed statement through
+``execute_statement`` on its own) on every backend — explicit,
 inline physical, Figure 6 translate — under both execution kernels, and
 additionally holds all backends to each other on the batched route.
 
@@ -124,6 +126,13 @@ def _batch_case(rng: random.Random, index: int) -> Scenario:
     )
 
 
+def _statement_at_a_time(session: ISQLSession, script: str) -> list:
+    """The unbatched reference: each parsed statement executed alone."""
+    return [
+        session.execute_statement(statement) for statement in session.parse(script)
+    ]
+
+
 def _replay(scenario: Scenario, backend, batched: bool):
     resolved = backend() if callable(backend) else backend
     session = ISQLSession(backend=resolved)
@@ -131,8 +140,11 @@ def _replay(scenario: Scenario, backend, batched: bool):
         session.register(name, relation)
     for relation, attributes in scenario.keys:
         session.declare_key(relation, attributes)
-    runner = session.run_script if batched else session.execute
-    results = runner(scenario.script)
+    results = (
+        session.execute(scenario.script)
+        if batched
+        else _statement_at_a_time(session, scenario.script)
+    )
     flags = [
         (result.kind, result.applied)
         for result in results
@@ -143,7 +155,7 @@ def _replay(scenario: Scenario, backend, batched: bool):
 
 @pytest.mark.parametrize("index", fuzz_range(48))
 def test_batched_equals_statement_at_a_time_per_backend(index):
-    """run_script vs execute: same flags, same state, every backend."""
+    """Batched vs statement at a time: same flags, same state, every backend."""
     rng = random.Random(5000 + index)
     scenario = _batch_case(rng, index)
     for label, backend in BACKENDS:
@@ -163,7 +175,7 @@ def test_batched_equals_statement_at_a_time_per_backend(index):
 @pytest.mark.parametrize("index", fuzz_range(24))
 def test_batched_backends_agree_with_each_other(index):
     """The batched route itself, differentially across all backends
-    (run_scenario executes scripts through run_script)."""
+    (run_scenario executes scripts through ISQLSession.run)."""
     rng = random.Random(5000 + index)
     assert_backends_agree(_batch_case(rng, index), BACKENDS)
 
@@ -198,7 +210,7 @@ class TestBatchEdges:
         """A discarded statement is discarded *alone*: earlier and later
         statements of the same batch still apply, in order."""
         session = _session(backend)
-        results = session.run_script(
+        results = session.run(
             "insert into T values (4, 2, 40);"   # applies
             "insert into T values (1, 9, 99);"   # key collision: discarded
             "update T set K = 1 where V = 0;"    # collides (two V=0 rows → K=1): discarded
@@ -218,7 +230,7 @@ class TestBatchEdges:
         session = _session(backend, key=False)
         session.register("Solo", Relation(("P",), [(7,), (8,)]))
         session.execute("Split <- select * from T choice of V;")
-        session.run_script(
+        session.run(
             "delete from Solo where P = 99;"
             "update Solo set P = 0 where P = 99;"
         )
@@ -230,8 +242,8 @@ class TestBatchEdges:
             assert inline_rep.table_id_attrs("Solo") == ()
 
     def test_mid_batch_error_commits_applied_prefix(self, backend):
-        """An arity error mid-batch raises like execute() — with the
-        statements before it already applied."""
+        """An arity error mid-batch raises like statement-at-a-time
+        execution — with the statements before it already applied."""
         for batched in (False, True):
             session = _session(backend, key=False)
             script = (
@@ -239,9 +251,11 @@ class TestBatchEdges:
                 "insert into T values (5, 5);"  # arity 2 ≠ 3: raises
                 "delete from T where K = 2;"
             )
-            runner = session.run_script if batched else session.execute
             with pytest.raises(SchemaError):
-                runner(script)
+                if batched:
+                    session.run(script)
+                else:
+                    _statement_at_a_time(session, script)
             assert session.world_set.the_world()["T"].rows == {
                 (2, 1, 20),
                 (3, 0, 30),
@@ -251,7 +265,7 @@ class TestBatchEdges:
         """Inserting an existing row is a set-semantics no-op (applied),
         and a batch of identical inserts collapses to one row."""
         session = _session(backend, key=False)
-        results = session.run_script(
+        results = session.run(
             "insert into T values (1, 0, 10);"
             "insert into T values (6, 0, 60);"
             "insert into T values (6, 0, 60);"
@@ -269,7 +283,7 @@ class TestBatchEdges:
         relation; a later delete in the same batch sees it."""
         session = _session(backend, key=False)
         session.execute("Split <- select * from T choice of V;")
-        results = session.run_script(
+        results = session.run(
             "insert into Split values (9, 9, 90);"
             "update Split set W = 91 where K = 9;"
             "delete from Split where V = 1;"
@@ -290,11 +304,13 @@ def test_empty_declared_key_is_no_constraint_in_batches(backend):
     for batched in (False, True):
         session = _session(backend, key=False)
         session.declare_key("T", ())
-        runner = session.run_script if batched else session.execute
-        results = runner(
+        script = (
             "insert into T values (4, 4, 40);"
             "insert into T values (5, 5, 50);"
             "update T set W = 0 where K = 4;"
+        )
+        results = (
+            session.run(script) if batched else _statement_at_a_time(session, script)
         )
         assert [r.applied for r in results] == [True, True, True], (
             backend,
@@ -309,11 +325,11 @@ def test_empty_declared_key_is_no_constraint_in_batches(backend):
         }
 
 
-def test_run_script_matches_execute_results_shape():
+def test_batched_execute_keeps_legacy_results_shape():
     """Non-DML statements pass through unchanged, one result per
     statement, DMLResult kinds preserved."""
     session = _session("inline", key=False)
-    results = session.run_script(
+    results = session.execute(
         "Split <- select * from T choice of V;"
         "insert into T values (7, 7, 70);"
         "delete from T where K = 7;"

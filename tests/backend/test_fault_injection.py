@@ -14,7 +14,7 @@ After every injected crash the suite asserts
 * the session state is *identical* to the oracle: the pre-statement
   state for statement-at-a-time execution, the pre-script state for
   ``atomic=True`` scripts, and some committed statement-prefix state
-  for default ``run_script`` (whose batches commit their applied
+  for default ``run`` (whose batches commit their applied
   prefix),
 * the session stays usable — the interrupted work replays cleanly to
   the same end state a never-faulted run reaches.
@@ -41,17 +41,21 @@ from repro.testing import InjectedFault, count_ops, inject_fault, sweep_points
 KERNEL_NAMES = ("columnar", "tuple") + (("array",) if have_numpy() else ())
 
 #: (label, backend-or-factory): explicit plus kernels × strategies.
+#: The inline backends run without the statement cache — see _fresh.
 BACKENDS = (
     (("explicit", "explicit"),)
     + tuple(
-        (f"inline[{kernel}]", lambda kernel=kernel: InlineBackend(kernel=kernel))
+        (
+            f"inline[{kernel}]",
+            lambda kernel=kernel: InlineBackend(kernel=kernel, cache=False),
+        )
         for kernel in KERNEL_NAMES
     )
     + tuple(
         (
             f"inline-translate[{kernel}]",
             lambda kernel=kernel: InlineBackend(
-                strategy="translate", kernel=kernel
+                strategy="translate", kernel=kernel, cache=False
             ),
         )
         for kernel in KERNEL_NAMES
@@ -69,7 +73,8 @@ def _limit(bounded: int) -> int | None:
 def _fresh(scenario, backend) -> ISQLSession:
     """A new session with the scenario's relations and keys, script unrun.
 
-    The statement cache is off: the sweep dry-counts a statement's
+    The statement cache is off (BACKENDS builds every inline backend
+    with ``cache=False``): the sweep dry-counts a statement's
     kernel ops, rolls back, and replays with a fault injected at each
     op index — a cached replay would legitimately skip those ops (the
     rolled-back representation carries its old table versions, so the
@@ -78,7 +83,7 @@ def _fresh(scenario, backend) -> ISQLSession:
     (``test_cache_differential.py``).
     """
     resolved = backend() if callable(backend) else backend
-    session = ISQLSession(backend=resolved, cache=False)
+    session = ISQLSession(backend=resolved)
     for name, relation in scenario.relations:
         session.register(name, relation)
     for relation, attributes in scenario.keys:
@@ -137,7 +142,7 @@ def test_atomic_script_rolls_back_to_prescript_state(label, backend, name):
     scenario = SCRIPTED[name]
     reference_session, reference_result = run_scenario(scenario, backend)
     probe = _fresh(scenario, backend)
-    total = count_ops(lambda: probe.run_script(scenario.script))
+    total = count_ops(lambda: probe.run(scenario.script))
     if total == 0:
         pytest.skip("script crosses no kernel-op boundary (view-only)")
     for at in sweep_points(total, _limit(3)):
@@ -145,13 +150,13 @@ def test_atomic_script_rolls_back_to_prescript_state(label, backend, name):
         before = session.world_set
         with inject_fault(at) as counter:
             with pytest.raises(EvaluationError) as info:
-                session.run_script(scenario.script, atomic=True)
+                session.run(scenario.script, atomic=True)
             assert isinstance(info.value.__cause__, InjectedFault)
             assert counter.fired
         assert session.world_set == before, (
             f"{label}/{name}: atomic rollback missed at op {at}/{total}"
         )
-        session.run_script(scenario.script, atomic=True)
+        session.run(scenario.script, atomic=True)
         assert session.world_set == reference_session.world_set
         assert session.query(scenario.query).answers() == reference_result.answers()
 
@@ -169,7 +174,7 @@ def test_default_script_keeps_a_committed_statement_prefix(label, backend, name)
         oracle.execute_statement(statement)
         prefix_states.append(oracle.world_set)
     probe = _fresh(scenario, backend)
-    total = count_ops(lambda: probe.run_script(scenario.script))
+    total = count_ops(lambda: probe.run(scenario.script))
     if total == 0:
         pytest.skip("script crosses no kernel-op boundary (view-only)")
     anchor = scenario.relations[0][0]
@@ -177,7 +182,7 @@ def test_default_script_keeps_a_committed_statement_prefix(label, backend, name)
         session = _fresh(scenario, backend)
         with inject_fault(at):
             with pytest.raises(EvaluationError) as info:
-                session.run_script(scenario.script)
+                session.run(scenario.script)
             assert isinstance(info.value.__cause__, InjectedFault)
         state = session.world_set
         assert any(state == prefix for prefix in prefix_states), (
@@ -200,7 +205,7 @@ def test_query_sweep_leaves_state_untouched(label, backend, name):
     scenario = {s.name: s for s in scenarios("small")}[name]
     session = _fresh(scenario, backend)
     if scenario.script:
-        session.run_script(scenario.script)
+        session.run(scenario.script)
     before = session.world_set
     total = count_ops(lambda: session.query(scenario.query))
     reference = session.query(scenario.query).answers()

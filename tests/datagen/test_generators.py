@@ -139,7 +139,7 @@ class TestXLScenarios:
         assert "(select" in dml.script
         # The batched DML pipeline scenario (ISSUE 5): a 2¹⁶-world
         # split, then a multi-statement *subquery-free* cleanup run on
-        # one relation — exactly the shape run_script coalesces into a
+        # one relation — exactly the shape ISQLSession.run coalesces into a
         # single backend pass — closed by an insert visible as the one
         # certain row.
         xxl = suite["census_cleanup_dml_xxl"]

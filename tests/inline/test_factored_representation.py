@@ -142,7 +142,7 @@ def _repaired_session():
             [(1, "x"), (1, "y"), (2, "z"), (3, "p"), (3, "q"), (3, "r")],
         ),
     )
-    session.run_script("Clean <- select * from R repair by key K;")
+    session.run("Clean <- select * from R repair by key K;")
     return session
 
 

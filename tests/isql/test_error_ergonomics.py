@@ -85,7 +85,7 @@ class TestStatementSpans:
             "delete from Flights where Nope = 1;\n"
         )
         with pytest.raises(ReproError) as info:
-            session.run_script(script)
+            session.run(script)
         notes = getattr(info.value, "__notes__", [])
         assert any(
             note.startswith("while executing: ")
@@ -101,13 +101,13 @@ class TestStatementSpans:
             "delete from Flights where Nope = 2;\n"
         )
         with pytest.raises(ReproError) as info:
-            session.run_script(script)
+            session.run(script)
         notes = getattr(info.value, "__notes__", [])
         assert any("Nope = 1" in note and "Nope = 2" in note for note in notes)
 
     def test_note_is_attached_once_not_per_frame(self, session):
         with pytest.raises(ReproError) as info:
-            session.run_script("delete from Flights where Nope = 1;")
+            session.run("delete from Flights where Nope = 1;")
         notes = [
             note
             for note in getattr(info.value, "__notes__", [])
@@ -159,7 +159,7 @@ class TestExceptionHygiene:
                 "Flights", Relation(("Dep", "Arr"), [("FRA", "BCN"), ("PAR", "ATL")])
             )
             try:
-                session.run_script(script)
+                session.run(script)
             except ReproError:
                 pass  # the only exception family allowed out
             except Exception as error:  # pragma: no cover - the failure path
@@ -178,7 +178,7 @@ class TestExceptionHygiene:
             "select Dep from Flights group worlds by Dep;",  # needs a closing
         ]:
             with pytest.raises(ReproError):
-                session.run_script(script)
+                session.run(script)
 
     def test_internal_faults_surface_wrapped_with_cause(self, session):
         with inject_fault(1) as counter:

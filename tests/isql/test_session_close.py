@@ -75,7 +75,7 @@ def test_close_after_mid_script_error(flights):
         session = ISQLSession(backend=backend)
         session.register("Flights", flights)
         with pytest.raises(Exception):
-            session.run_script(
+            session.run(
                 "insert into Flights values ('LIS', 'FRA');"
                 "delete from Flights where Nope = 1;"
             )
@@ -104,6 +104,6 @@ def test_context_manager_closes_even_on_script_error(flights):
         with ISQLSession(backend="inline") as session:
             session.register("Flights", flights)
             session.savepoint("inside")
-            session.run_script("delete from Flights where Nope = 1;")
+            session.run("delete from Flights where Nope = 1;")
     assert session._savepoints == []
     assert relation_module._INTERNED == {}

@@ -10,8 +10,8 @@ backend and the session:
   memoized select over relation A, while DML on A must;
 * versions ride the state — savepoint rollback and snapshot restore
   re-hit the memo entries of the restored state, never a stale one;
-* the ``cache=False`` escape hatch at session, per-call, and backend
-  construction level;
+* the one cache switch, ``InlineBackend(cache=False)`` (pools inherit
+  it — see ``tests/service/test_pool.py``);
 * ``close()`` detaches a session from a shared cache without clearing
   it for its siblings;
 * LRU bounds and the eviction/invalidation counters;
@@ -32,7 +32,7 @@ from repro.relational import Relation
 
 
 def _session(cache: bool = True, **kwargs) -> ISQLSession:
-    session = ISQLSession(backend=InlineBackend(**kwargs), cache=cache)
+    session = ISQLSession(backend=InlineBackend(cache=cache, **kwargs))
     session.register("A", Relation(("X", "Y"), [(1, 10), (2, 20), (3, 30)]))
     session.register("B", Relation(("P",), [(1,), (2,)]))
     return session
@@ -222,10 +222,10 @@ def test_fresh_world_id_statements_never_memoize():
     assert session.world_count() == worlds * worlds
 
 
-# -- the cache=False escape hatch ----------------------------------------------------
+# -- the cache=False switch ----------------------------------------------------------
 
 
-def test_session_level_cache_off_bypasses():
+def test_cache_off_backend_bypasses_every_statement():
     session = _session(cache=False)
     assert _cache_of(_last(session, SELECT_A)) == "bypass"
     assert _cache_of(_last(session, SELECT_A)) == "bypass"
@@ -233,12 +233,13 @@ def test_session_level_cache_off_bypasses():
     assert info.hits == 0 and info.entries == 0
 
 
-def test_per_call_cache_override():
+def test_cache_is_not_a_session_or_call_setting():
+    with pytest.raises(TypeError):
+        ISQLSession(backend="inline", cache=False)
     session = _session()
-    session.run(SELECT_A)
-    assert _cache_of(session.run(SELECT_A, cache=False)[-1]) == "bypass"
-    # The session default is untouched; the entry is still warm.
-    assert _cache_of(_last(session, SELECT_A)) == "hit"
+    for call in (session.run, session.execute):
+        with pytest.raises(TypeError):
+            call(SELECT_A, cache=False)
 
 
 def test_backend_constructed_without_cache():
@@ -423,8 +424,8 @@ def test_run_records_phase_timings():
 
 
 def test_old_shapes_still_work():
-    """Backward compatibility: execute/run_script keep returning the
-    legacy result objects (deprecated in favor of run())."""
+    """Backward compatibility: execute keeps returning the legacy
+    result objects (deprecated in favor of run())."""
     session = _session()
     legacy = session.execute("insert into B values (4);" + SELECT_B)
     assert isinstance(legacy[0], DMLResult)

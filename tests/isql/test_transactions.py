@@ -2,7 +2,7 @@
 
 Statement-level atomicity is structural (backends commit by swapping
 immutable state references); this suite pins the *multi-statement*
-layer built on top: ``execute``/``run_script`` with ``atomic=True``,
+layer built on top: ``execute``/``run`` with ``atomic=True``,
 the :meth:`ISQLSession.transaction` context manager, and the
 savepoint stack — including that rollback restores views and declared
 keys, not just the possible-worlds state.
@@ -36,7 +36,7 @@ def _refs(session):
 class TestAtomicScripts:
     def test_atomic_script_commits_on_success(self, backend, bookings):
         session = _session(backend, bookings)
-        results = session.run_script(
+        results = session.run(
             "insert into Bookings values (4, 'PAR');"
             "delete from Bookings where City = 'ATL';",
             atomic=True,
@@ -48,7 +48,7 @@ class TestAtomicScripts:
         session = _session(backend, bookings)
         before = session.world_set
         with pytest.raises(ReproError):
-            session.run_script(
+            session.run(
                 "insert into Bookings values (4, 'PAR');"
                 "delete from Bookings where Nope = 1;",  # unknown column
                 atomic=True,
@@ -58,7 +58,7 @@ class TestAtomicScripts:
     def test_default_script_keeps_committed_prefix(self, backend, bookings):
         session = _session(backend, bookings)
         with pytest.raises(ReproError):
-            session.run_script(
+            session.run(
                 "insert into Bookings values (4, 'PAR');"
                 "select * from Nowhere;"
             )

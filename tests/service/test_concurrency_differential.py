@@ -136,7 +136,7 @@ class Case:
             session.register(name, relation)
         for relation, attributes in self.keys:
             session.declare_key(relation, attributes)
-        session.run_script(self.setup)
+        session.run(self.setup)
         return session
 
 
@@ -260,7 +260,7 @@ def _run_serialized(case: Case, backend_factory) -> tuple[list, ISQLSession]:
         unit = case.units[thread_index][cursors[thread_index]]
         cursors[thread_index] += 1
         try:
-            outcomes.append(_outcome(session.run_script(unit)))
+            outcomes.append(_outcome(session.execute(unit)))
         except ReproError as error:
             outcomes.append(_error_outcome(error))
     return outcomes, session

@@ -365,3 +365,32 @@ def test_pin_inside_transaction_is_refused(conn):
     with pytest.raises(dbapi.ProgrammingError):
         conn.pin_snapshot()
     conn.rollback()
+
+
+# -- the statement pipeline ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "script",
+    ["select possible K from T where V > 10;", "insert into T values (4, 40);"],
+    ids=["read", "write"],
+)
+def test_repeated_script_parses_once(conn, monkeypatch, script):
+    """With the cache on, a connection parses each distinct script text
+    once: the DBAPI takes its statements from the session's cached
+    parse instead of parsing the text itself."""
+    import repro.isql.session as session_module
+    from repro.isql import parser
+
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parser.parse_script(text)
+
+    monkeypatch.setattr(session_module, "parse_script", counting)
+    monkeypatch.setattr(dbapi, "parse_script", counting)
+    conn.autocommit = True
+    for _ in range(3):
+        conn.execute(script)
+    assert calls == [script]

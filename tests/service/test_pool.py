@@ -13,14 +13,16 @@ import threading
 
 import pytest
 
+from repro.backend import InlineBackend
+from repro.cache import CacheInfo
 from repro.errors import OwnershipError
 from repro.isql import ISQLSession
 from repro.relational import Relation
 from repro.service import SessionPool, dbapi
 
 
-def _seed(rows=((1, 10), (2, 20), (3, 30))) -> ISQLSession:
-    session = ISQLSession(backend="inline")
+def _seed(rows=((1, 10), (2, 20), (3, 30)), backend="inline") -> ISQLSession:
+    session = ISQLSession(backend=backend)
     session.register("T", Relation(("K", "V"), rows))
     return session
 
@@ -286,10 +288,32 @@ def test_retired_connections_do_not_pin_or_grow_the_shared_cache():
 
 
 def test_pool_cache_escape_hatch():
-    pool = SessionPool(_seed(), size=1, cache=False)
+    pool = SessionPool(_seed(backend=InlineBackend(cache=False)), size=1)
     with pool.connection() as connection:
         assert connection.execute("select possible K from T;").cache == "bypass"
         assert connection.execute("select possible K from T;").cache == "bypass"
     info = pool.cache_info()
     assert info.hits == 0 and info.entries == 0
+    pool.close()
+
+
+def test_pool_inherits_cache_off_from_its_seed():
+    """A seed session whose backend runs without the statement cache
+    gives a pool without one: every pooled connection forks the seed's
+    backend setting, so no read or write ever memoizes."""
+    pool = SessionPool(_seed(backend=InlineBackend(cache=False)), size=2)
+    first = pool.acquire()
+    second = pool.acquire()
+    query = "select possible K from T where V > 10;"
+    for _ in range(3):
+        for connection in (first, second):
+            assert connection.session.backend.cache is None
+            assert connection.execute(query).cache == "bypass"
+    first.execute("insert into T values (4, 40);")
+    first.commit()
+    assert second.execute(query).fetchall() == [(2,), (3,), (4,)]
+    assert second.execute(query).cache == "bypass"
+    assert pool.cache_info() == CacheInfo.empty()
+    pool.release(first)
+    pool.release(second)
     pool.close()
